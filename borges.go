@@ -300,16 +300,11 @@ type (
 	Snapshot = serve.Snapshot
 	// SnapshotStats are a snapshot's precomputed corpus statistics.
 	SnapshotStats = serve.Stats
-	// SnapshotSource produces replacement mappings for hot reloads.
+	// SnapshotSource produces the replacement snapshot for a hot
+	// reload: a decoded binary artifact, an indexed mapping file, or a
+	// pipeline run built with NewSnapshotWithHealth so degradation
+	// travels with the snapshot.
 	SnapshotSource = serve.Source
-	// SnapshotHealthSource produces replacement mappings together with
-	// the producing run's health, so degradation travels with the
-	// snapshot through hot reloads.
-	SnapshotHealthSource = serve.HealthSource
-	// PreparedSnapshotSource delivers ready-made snapshots — decoded
-	// binary artifacts or pre-built indexes — skipping the in-server
-	// rebuild on reload.
-	PreparedSnapshotSource = serve.PreparedSource
 	// MappingDeltaSource supplies mapping deltas for incremental
 	// (mode=delta) reloads.
 	MappingDeltaSource = serve.DeltaSource
@@ -317,10 +312,10 @@ type (
 	// mapping ("ok" vs "degraded"), surfaced by /healthz, /v1/stats,
 	// and /metrics.
 	SnapshotHealth = serve.Health
-	// ServeOptions tune a lookup server (reload source, per-request
-	// timeout, structured logging, overload protection, and
-	// BuildWorkers — the parallelism of each reloaded snapshot's
-	// index/pre-render build).
+	// ServeOptions tune a lookup server: the reload Source (one
+	// function returning a ready snapshot) and DeltaSource, per-request
+	// timeout, structured logging, overload protection, persistence,
+	// and integrity scrubbing.
 	ServeOptions = serve.Options
 	// LookupServer serves a Snapshot over HTTP with atomic hot reload.
 	LookupServer = serve.Server
@@ -393,21 +388,17 @@ func NewLookupServer(snap *Snapshot, opts ServeOptions) (*LookupServer, error) {
 	return serve.NewServer(snap, opts)
 }
 
-// MappingFileSource reloads mappings from a JSONL file written with
-// WriteMapping (borges -format jsonl).
-func MappingFileSource(path string) SnapshotSource { return serve.FileSource(path) }
-
 // SnapshotFileSource reloads snapshots from a file of either format:
 // a snapbin binary artifact (detected by magic, loaded in
 // milliseconds) or a JSONL mapping (parsed and indexed from scratch).
-func SnapshotFileSource(path string) PreparedSnapshotSource { return serve.SnapshotFileSource(path) }
+func SnapshotFileSource(path string) SnapshotSource { return serve.SnapshotFileSource(path) }
 
 // SnapshotFileSourceMapped is SnapshotFileSource with binary artifacts
 // loaded through a read-only memory mapping (borgesd -mmap): bodies
 // serve off the page cache and the heap holds only the index-sized
 // sections. Platforms or filesystems that cannot map fall back to the
 // buffered load.
-func SnapshotFileSourceMapped(path string) PreparedSnapshotSource {
+func SnapshotFileSourceMapped(path string) SnapshotSource {
 	return serve.SnapshotFileSourceMapped(path)
 }
 
@@ -418,7 +409,8 @@ func MappingDeltaFileSource(path string) MappingDeltaSource { return serve.Delta
 // WriteSnapshot encodes a snapshot as a versioned binary artifact
 // (magic "BORGSNAP") and returns its content hash: a SHA-256 over the
 // snapshot's logical content, identical across machines, build times,
-// and full-vs-delta construction paths.
+// and full-vs-delta construction paths. The artifact is assembled in
+// memory before it is written to w; WriteSnapshotFile streams instead.
 func WriteSnapshot(w io.Writer, s *Snapshot) (string, error) { return serve.WriteSnapshot(w, s) }
 
 // WriteSnapshotFile atomically persists a snapshot as a binary
@@ -427,12 +419,9 @@ func WriteSnapshotFile(path string, s *Snapshot) (string, error) {
 	return serve.WriteSnapshotFile(path, s)
 }
 
-// LoadSnapshot decodes a binary snapshot artifact into a serving
-// snapshot — a few large reads plus verification, no JSONL parse, no
-// union-find replay, no re-rendering.
-func LoadSnapshot(r io.Reader) (*Snapshot, error) { return serve.LoadSnapshot(r) }
-
-// LoadSnapshotFile decodes the binary snapshot artifact at path.
+// LoadSnapshotFile decodes the binary snapshot artifact at path — a
+// few large reads plus verification, no JSONL parse, no union-find
+// replay, no re-rendering.
 func LoadSnapshotFile(path string) (*Snapshot, error) { return serve.LoadSnapshotFile(path) }
 
 // LoadSnapshotFileMapped decodes the binary snapshot artifact at path

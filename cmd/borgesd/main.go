@@ -2,16 +2,17 @@
 // HTTP: point lookups, organization search, corpus statistics (θ), and
 // operational metrics, with hot snapshot reload.
 //
-// Serve a mapping produced by cmd/borges:
-//
-//	borges -format jsonl -o mapping.jsonl
-//	borgesd -addr :8080 -mapping mapping.jsonl
-//
-// or a binary snapshot artifact (borges -format binary, or a previous
-// borgesd -snapshot-out), which cold-starts in milliseconds because
-// nothing is re-parsed, re-tokenized, or re-rendered:
+// Serve a binary snapshot artifact (borges -format binary, or a
+// previous borgesd -snapshot-out), which cold-starts in milliseconds
+// because nothing is re-parsed, re-tokenized, or re-rendered:
 //
 //	borgesd -addr :8080 -snapshot-in snapshot.bin
+//
+// -snapshot-in sniffs the file's magic, so a mapping JSONL file
+// (borges -format jsonl) serves too, indexed at load:
+//
+//	borges -format jsonl -o mapping.jsonl
+//	borgesd -addr :8080 -snapshot-in mapping.jsonl
 //
 // or self-bootstrap from the calibrated synthetic corpus (generate →
 // run pipeline in-process → serve):
@@ -50,7 +51,7 @@
 //	                      mapdiff edit script of each reload); ?since=
 //	                      resumes after a disconnect
 //	GET  /v1/stats        θ, org/ASN counts, size histogram
-//	POST /admin/reload    re-read -mapping (or re-run the pipeline)
+//	POST /admin/reload    re-read -snapshot-in (or re-run the pipeline)
 //	POST /admin/rollback  swap back to the newest verified generation
 //	                      (with -keep-generations)
 //	GET  /healthz         liveness + snapshot age + degraded/ok run health
@@ -89,13 +90,12 @@ func main() {
 	log.SetPrefix("borgesd: ")
 
 	addr := flag.String("addr", ":8080", "listen address")
-	mapping := flag.String("mapping", "", "mapping JSONL file (from borges -format jsonl); reload re-reads it")
 	snapshotIn := flag.String("snapshot-in", "", "snapshot file to serve: a binary artifact (borges -format binary, borgesd -snapshot-out) or mapping JSONL, sniffed by magic; reload re-reads it")
 	snapshotOut := flag.String("snapshot-out", "", "write the initial snapshot as a binary artifact to this path, then keep serving")
 	mmapIn := flag.Bool("mmap", false, "memory-map binary -snapshot-in artifacts instead of buffering them: bodies serve off the page cache and cold-start heap stays O(index), not O(file); falls back to buffered loads where mapping is unavailable")
 	deltaIn := flag.String("delta-in", "", "mapping delta JSONL (borges-diff -delta); POST /admin/reload?mode=delta applies it to the serving snapshot")
-	seed := flag.Int64("seed", 1, "synthetic corpus seed (when -mapping is unset)")
-	scale := flag.Float64("scale", 0.05, "synthetic corpus scale (when -mapping is unset)")
+	seed := flag.Int64("seed", 1, "synthetic corpus seed (when -snapshot-in is unset)")
+	scale := flag.Float64("scale", 0.05, "synthetic corpus scale (when -snapshot-in is unset)")
 	timeout := flag.Duration("timeout", 0, "per-request timeout (0 = default 10s)")
 	pprof := flag.Bool("pprof", false, "expose /debug/pprof/* profiling handlers")
 	quiet := flag.Bool("q", false, "suppress structured request logging")
@@ -107,7 +107,6 @@ func main() {
 	burst := flag.Int("burst", 100, "per-client burst capacity for -rate")
 	targetLatency := flag.Duration("target-latency", 150*time.Millisecond, "latency target steering the adaptive concurrency limit")
 	shedSearchFirst := flag.Bool("shed-search-first", true, "shed /v1/search before point lookups under overload (search also browns out under pressure)")
-	buildWorkers := flag.Int("build-workers", 0, "workers indexing and pre-rendering each reloaded snapshot (0 = GOMAXPROCS); lower to reduce CPU contention with serving traffic during reloads")
 	bulkMaxLines := flag.Int("bulk-max-lines", 0, "max input lines per /v1/bulk request (0 = default 1048576)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "max request body bytes on body-reading endpoints (0 = default 64 MiB)")
 	watchBuffer := flag.Int("watch-buffer", 0, "per-subscriber /v1/watch event queue depth; a subscriber this many reloads behind is evicted (0 = default 64)")
@@ -118,7 +117,7 @@ func main() {
 	canarySamples := flag.Int("canary-samples", 0, "lookups the canary replays per candidate snapshot (0 = default 64)")
 	canaryThetaTol := flag.Float64("canary-theta-tol", 0, "reject a candidate whose θ differs from the serving snapshot's by more than this (0 disables the θ gate)")
 	fleetMode := flag.Bool("fleet", false, "distributor mode: publish versioned snapshot artifacts on /fleet/* for replicas to follow")
-	join := flag.String("join", "", "replica mode: follow the distributor at this base URL (e.g. http://host:8080); snapshots come from it, not from -mapping/-snapshot-in")
+	join := flag.String("join", "", "replica mode: follow the distributor at this base URL (e.g. http://host:8080); snapshots come from it, not from -snapshot-in")
 	replicaID := flag.String("replica-id", "", "replica identity in heartbeats and /fleet/status (default hostname-pid)")
 	lastGood := flag.String("last-good", "borgesd-lastgood.snapbin", "replica last-good artifact path: every verified snapshot is persisted here and cold starts load it before touching the network")
 	heartbeatInterval := flag.Duration("heartbeat-interval", 5*time.Second, "replica served-version report period")
@@ -132,7 +131,6 @@ func main() {
 	opts := borges.ServeOptions{
 		RequestTimeout: *timeout,
 		EnablePprof:    *pprof,
-		BuildWorkers:   *buildWorkers,
 		BulkMaxLines:   *bulkMaxLines,
 		MaxBodyBytes:   *maxBodyBytes,
 		WatchBuffer:    *watchBuffer,
@@ -179,8 +177,8 @@ func main() {
 	}
 
 	if *join != "" {
-		if *mapping != "" || *snapshotIn != "" || *fleetMode {
-			log.Fatal("-join is mutually exclusive with -mapping, -snapshot-in, and -fleet")
+		if *snapshotIn != "" || *fleetMode {
+			log.Fatal("-join is mutually exclusive with -snapshot-in and -fleet")
 		}
 		id := *replicaID
 		if id == "" {
@@ -221,38 +219,12 @@ func main() {
 		return
 	}
 
-	var (
-		snap  *borges.Snapshot
-		label string
-	)
 	if *snapshotIn != "" {
-		if *mapping != "" {
-			log.Fatal("-snapshot-in and -mapping are mutually exclusive")
-		}
-		source := borges.SnapshotFileSource(*snapshotIn)
+		opts.Source = borges.SnapshotFileSource(*snapshotIn)
 		if *mmapIn {
-			source = borges.SnapshotFileSourceMapped(*snapshotIn)
+			opts.Source = borges.SnapshotFileSourceMapped(*snapshotIn)
 		}
-		label = *snapshotIn
-		opts.Prepared = source
-		log.Printf("loading snapshot from %s", label)
-		var err error
-		if snap, err = source(ctx); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("snapshot loaded (mode %s, hash %.12s)", snap.LoadMode(), snap.ContentHash())
-	} else if *mapping != "" {
-		source := borges.MappingFileSource(*mapping)
-		label = *mapping
-		opts.Source = source
-		log.Printf("loading mapping from %s", label)
-		m, err := source(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if snap, err = borges.NewSnapshot(m, label); err != nil {
-			log.Fatal(err)
-		}
+		log.Printf("loading snapshot from %s", *snapshotIn)
 	} else {
 		// One cache outlives the source closure so every /admin/reload
 		// replays memoized LLM completions and crawl outcomes instead of
@@ -262,25 +234,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		source := pipelineSource(*seed, *scale, store, borges.Options{
+		opts.Source = pipelineSource(*seed, *scale, store, borges.Options{
 			MaxRetries:       *maxRetries,
 			BreakerThreshold: *breakerThreshold,
 			FailFast:         *failFast,
 		})
-		label = "synthetic pipeline"
-		opts.HealthSource = source
-		log.Printf("loading mapping from %s", label)
-		m, health, err := source(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if health.Status != borges.SnapshotHealthOK {
-			log.Printf("pipeline degraded: %d quarantined (%s)", health.Quarantined, health.Detail)
-		}
-		if snap, err = borges.NewSnapshotWithHealth(m, label, health); err != nil {
-			log.Fatal(err)
-		}
+		log.Printf("loading mapping from synthetic pipeline")
 	}
+	snap, err := opts.Source(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("snapshot loaded (mode %s, hash %.12s)", snap.LoadMode(), snap.ContentHash())
 
 	if *snapshotOut != "" {
 		// Boot-time persistence failing is a warning, not a reason to
@@ -326,19 +291,19 @@ func main() {
 	log.Printf("shut down cleanly")
 }
 
-// pipelineSource builds a health-aware Source that regenerates the
-// seeded synthetic corpus and runs the full Borges pipeline in-process —
-// the -seed/-scale self-bootstrap mode, also exercised on every
+// pipelineSource builds a Source that regenerates the seeded
+// synthetic corpus and runs the full Borges pipeline in-process — the
+// -seed/-scale self-bootstrap mode, also exercised on every
 // /admin/reload. The cache is shared across reloads, so only the first
 // run pays for LLM completions and crawls, and the run's fault report
 // travels with the snapshot into /healthz, /v1/stats, and /metrics.
-func pipelineSource(seed int64, scale float64, store *borges.Cache, base borges.Options) borges.SnapshotHealthSource {
-	return func(ctx context.Context) (*borges.Mapping, borges.SnapshotHealth, error) {
+func pipelineSource(seed int64, scale float64, store *borges.Cache, base borges.Options) borges.SnapshotSource {
+	return func(ctx context.Context) (*borges.Snapshot, error) {
 		opts := base
 		opts.Cache = store
 		ds, err := borges.GenerateDataset(borges.DatasetConfig{Seed: seed, Scale: scale})
 		if err != nil {
-			return nil, borges.SnapshotHealth{}, err
+			return nil, err
 		}
 		res, err := borges.Run(ctx, borges.Inputs{
 			WHOIS:     ds.WHOIS,
@@ -347,8 +312,12 @@ func pipelineSource(seed int64, scale float64, store *borges.Cache, base borges.
 			Provider:  borges.NewSimulatedLLM(),
 		}, opts)
 		if err != nil {
-			return nil, borges.SnapshotHealth{}, err
+			return nil, err
 		}
-		return res.Mapping, borges.HealthFromReport(res.Report), nil
+		health := borges.HealthFromReport(res.Report)
+		if health.Status != borges.SnapshotHealthOK {
+			log.Printf("pipeline degraded: %d quarantined (%s)", health.Quarantined, health.Detail)
+		}
+		return borges.NewSnapshotWithHealth(res.Mapping, "synthetic pipeline", health)
 	}
 }

@@ -181,8 +181,8 @@ type Namer func(members []asnum.ASN) string
 
 // Builder accumulates sibling sets and consolidates them into a Mapping.
 // Consolidation is deferred: Add only records sets, and Build (or
-// BuildSharded) replays them through a union-find, so repeated builds
-// and the sharded strategy see the same inputs.
+// BuildSharded) replays them through a dense union-find, so repeated
+// builds at any worker count see the same inputs.
 type Builder struct {
 	universe   []asnum.ASN
 	inUniverse map[asnum.ASN]bool
@@ -230,33 +230,24 @@ func (b *Builder) AddAll(sets []SiblingSet) {
 	}
 }
 
-// Build consolidates everything added so far into a Mapping with the
-// sequential union-find. The namer, if non-nil, assigns display names.
-// Build may be called repeatedly; each call reflects the current state.
+// Build consolidates everything added so far into a Mapping on one
+// worker through the dense union-find (BuildShardedChecked). The
+// namer, if non-nil, assigns display names. Build may be called
+// repeatedly; each call reflects the current state. It stays
+// error-free for API compatibility: spill I/O errors are observable
+// via BuildShardedChecked.
 func (b *Builder) Build(namer Namer) *Mapping {
-	if b.spill != nil {
-		// The sets live on disk; consolidate through the spill reader.
-		// Build stays error-free for API compatibility — spill I/O
-		// errors are observable via BuildShardedChecked.
-		m, _ := b.BuildShardedChecked(namer, 1)
-		return m
-	}
-	uf := NewUnionFind()
-	for _, a := range b.universe {
-		uf.Add(a)
-	}
-	for _, s := range b.sets {
-		uf.UnionAll(s.ASNs)
-	}
-	return b.materialize(uf.Components(), namer)
+	m, _ := b.BuildShardedChecked(namer, 1)
+	return m
 }
 
 // BuildSharded consolidates with the sharded strategy: sibling sets are
 // partitioned across workers (GOMAXPROCS when workers <= 0), each shard
 // runs a local dense union-find, and the per-shard frontiers merge into
-// a global structure. The result is identical to Build's — same cluster
-// IDs, same WriteJSONL bytes — a property the shard_test suite asserts
-// over random inputs.
+// a global structure. The result is identical at every worker count —
+// same cluster IDs, same WriteJSONL bytes — and to the map-based
+// UnionFind oracle, a property the shard_test suite asserts over random
+// inputs.
 func (b *Builder) BuildSharded(namer Namer, workers int) *Mapping {
 	m, _ := b.BuildShardedChecked(namer, workers)
 	return m

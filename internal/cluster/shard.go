@@ -6,8 +6,8 @@
 // (one edge from each element to its local root) are merged into a
 // global dense structure. Components come out in the same deterministic
 // order UnionFind.Components uses — descending size, ties broken by the
-// smallest member — so the sharded build is byte-identical to the
-// sequential one under WriteJSONL.
+// smallest member — so the build is byte-identical at any worker
+// count, and to the map-based UnionFind oracle, under WriteJSONL.
 package cluster
 
 import (

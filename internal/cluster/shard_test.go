@@ -30,9 +30,24 @@ func testNamer(members []asnum.ASN) string {
 	return fmt.Sprintf("Org-%d", members[0]%512)
 }
 
-// TestShardedEquivalenceQuick is the property the tentpole rests on:
-// for arbitrary sibling-set inputs, the sharded consolidation and the
-// sequential one export byte-identical JSONL.
+// oracleBuild consolidates b's sets with the map-based UnionFind — the
+// reference the dense union-find behind Build and BuildSharded is
+// checked against — and materializes the result the same way.
+func oracleBuild(b *Builder, namer Namer) *Mapping {
+	uf := NewUnionFind()
+	for _, a := range b.universe {
+		uf.Add(a)
+	}
+	for _, s := range b.sets {
+		uf.UnionAll(s.ASNs)
+	}
+	return b.materialize(uf.Components(), namer)
+}
+
+// TestShardedEquivalenceQuick is the consolidation property: for
+// arbitrary sibling-set inputs, the dense union-find (one worker via
+// Build, several via BuildSharded) and the UnionFind oracle export
+// byte-identical JSONL.
 func TestShardedEquivalenceQuick(t *testing.T) {
 	f := func(rawSets [][]uint16, universe []uint16, workerSeed uint8) bool {
 		b := NewBuilder()
@@ -47,9 +62,9 @@ func TestShardedEquivalenceQuick(t *testing.T) {
 			b.Add(SiblingSet{ASNs: asns, Source: Feature(i % NumFeatures)})
 		}
 		workers := int(workerSeed)%7 + 2 // 2..8
-		seq := exportBytes(t, b.Build(testNamer))
-		shr := exportBytes(t, b.BuildSharded(testNamer, workers))
-		return bytes.Equal(seq, shr)
+		want := exportBytes(t, oracleBuild(b, testNamer))
+		return bytes.Equal(want, exportBytes(t, b.Build(testNamer))) &&
+			bytes.Equal(want, exportBytes(t, b.BuildSharded(testNamer, workers)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -88,16 +103,16 @@ func TestShardedEquivalenceLarge(t *testing.T) {
 		}
 		b.Add(set)
 	}
-	seq := b.Build(testNamer)
-	want := exportBytes(t, seq)
+	oracle := oracleBuild(b, testNamer)
+	want := exportBytes(t, oracle)
 	for _, workers := range []int{1, 2, 3, 8, 16} {
 		got := exportBytes(t, b.BuildSharded(testNamer, workers))
 		if !bytes.Equal(want, got) {
-			t.Fatalf("BuildSharded(workers=%d) diverges from sequential build", workers)
+			t.Fatalf("BuildSharded(workers=%d) diverges from the UnionFind oracle", workers)
 		}
 	}
-	if seq.NumASNs() != n {
-		t.Fatalf("NumASNs = %d, want %d", seq.NumASNs(), n)
+	if oracle.NumASNs() != n {
+		t.Fatalf("NumASNs = %d, want %d", oracle.NumASNs(), n)
 	}
 }
 
@@ -113,8 +128,8 @@ func TestBuildShardedDefaultWorkers(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatal("repeated BuildSharded calls diverge")
 	}
-	if !bytes.Equal(first, exportBytes(t, b.Build(nil))) {
-		t.Fatal("BuildSharded(0) diverges from sequential build")
+	if !bytes.Equal(first, exportBytes(t, oracleBuild(b, nil))) {
+		t.Fatal("BuildSharded(0) diverges from the UnionFind oracle")
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 
 // UnionFind is a disjoint-set forest over ASNs with union by size and
 // path halving. The zero value is not usable; call NewUnionFind.
+// Builder consolidates through the faster dense union-find in shard.go;
+// UnionFind is the reference oracle its equivalence tests check.
 type UnionFind struct {
 	parent map[asnum.ASN]asnum.ASN
 	size   map[asnum.ASN]int

@@ -70,11 +70,11 @@ func mustSnapshot(t testing.TB, m *cluster.Mapping) *serve.Snapshot {
 	return s
 }
 
-// testDist is a distributor under test: its serve.Source yields
-// whichever mapping version td.ver names, so td.publish(v) drives a
-// real reload→swap→publish cycle. td.flap simulates a distributor
-// outage: while set, every request — manifest, artifact, watch,
-// heartbeat — answers 503.
+// testDist is a distributor under test: its serve.Source yields a
+// snapshot of whichever mapping version td.ver names, so td.publish(v)
+// drives a real reload→swap→publish cycle. td.flap simulates a
+// distributor outage: while set, every request — manifest, artifact,
+// watch, heartbeat — answers 503.
 type testDist struct {
 	dist *Distributor
 	ts   *httptest.Server
@@ -89,8 +89,8 @@ func newTestDist(t *testing.T) *testDist {
 	t.Helper()
 	td := &testDist{published: make(map[string]bool)}
 	td.ver.Store(1)
-	src := func(ctx context.Context) (*cluster.Mapping, error) {
-		return fleetMapping(t, int(td.ver.Load())), nil
+	src := func(ctx context.Context) (*serve.Snapshot, error) {
+		return serve.NewSnapshot(fleetMapping(t, int(td.ver.Load())), "fleet")
 	}
 	dist, err := NewDistributor(mustSnapshot(t, fleetMapping(t, 1)), serve.Options{Source: src}, DistributorOptions{})
 	if err != nil {
@@ -237,9 +237,13 @@ func TestDistributorManifestAndRangedFetch(t *testing.T) {
 	if int64(len(artifact)) != man.Size {
 		t.Fatalf("artifact is %d bytes, manifest says %d", len(artifact), man.Size)
 	}
-	snap, err := serve.LoadSnapshot(bytes.NewReader(artifact))
+	path := filepath.Join(t.TempDir(), "fetched.snapbin")
+	if err := os.WriteFile(path, artifact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := serve.LoadSnapshotFile(path)
 	if err != nil {
-		t.Fatalf("LoadSnapshot: %v", err)
+		t.Fatalf("LoadSnapshotFile: %v", err)
 	}
 	if snap.ContentHash() != man.ContentHash {
 		t.Fatalf("artifact hash %s != manifest %s", snap.ContentHash(), man.ContentHash)

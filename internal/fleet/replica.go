@@ -73,7 +73,7 @@ type ReplicaOptions struct {
 	// BreakerCooldown is how long an open circuit denies fetches
 	// before probing (default 2s).
 	BreakerCooldown time.Duration
-	// Serve configures the replica's local lookup server. Prepared is
+	// Serve configures the replica's local lookup server. Source is
 	// owned by the replica (reloads are driven by the sync loop);
 	// OnSwap and ExtraMetrics are chained, not replaced.
 	Serve serve.Options
@@ -168,7 +168,7 @@ func NewReplica(ctx context.Context, opts ReplicaOptions) (*Replica, error) {
 		return nil, err
 	}
 	serveOpts := opts.Serve
-	serveOpts.Prepared = r.prepared
+	serveOpts.Source = r.takeStaged
 	if serveOpts.FS == nil {
 		serveOpts.FS = r.fsys
 	}
@@ -361,11 +361,11 @@ func (r *Replica) swap(ctx context.Context, next *serve.Snapshot, man *Manifest,
 	return nil
 }
 
-// prepared is the replica's serve.PreparedSource: it hands the staged,
+// takeStaged is the replica's serve.Source: it hands the staged,
 // already-verified snapshot to the server's reload path. Reloads not
 // driven by the sync loop (an operator's bare /admin/reload) have
 // nothing staged and fail without disturbing the serving snapshot.
-func (r *Replica) prepared(ctx context.Context) (*serve.Snapshot, error) {
+func (r *Replica) takeStaged(ctx context.Context) (*serve.Snapshot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.staged == nil {
@@ -549,16 +549,16 @@ func (r *Replica) fetchFullOnce(ctx context.Context, man *Manifest, part string)
 		return nil, closeErr
 	}
 
-	data, err := r.fsys.ReadFile(part)
+	st, err := r.fsys.Stat(part)
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(data)) < man.Size {
+	if st.Size() < man.Size {
 		// The server ended the body early without an error (connection
 		// closed cleanly mid-artifact). Resume on retry.
-		return nil, resilience.MarkTransient(fmt.Errorf("fleet: short artifact: %d of %d bytes", len(data), man.Size))
+		return nil, resilience.MarkTransient(fmt.Errorf("fleet: short artifact: %d of %d bytes", st.Size(), man.Size))
 	}
-	snap, err := serve.LoadSnapshot(bytes.NewReader(data))
+	snap, err := serve.LoadSnapshotFileFS(r.fsys, part)
 	if err != nil {
 		// Complete but corrupt (flipped bytes, wrong sections): the
 		// .part cannot be healed by resuming. Discard and refetch.
@@ -574,7 +574,7 @@ func (r *Replica) fetchFullOnce(ctx context.Context, man *Manifest, part string)
 	}
 	// Verified: promote to last-good. The bytes are already fsynced;
 	// the rename makes the swap atomic, and the directory fsync makes
-	// it durable — same discipline as snapbin.WriteFile.
+	// it durable — same discipline as snapbin.WriteFileFS.
 	if err := r.fsys.Rename(part, r.opts.LastGood); err != nil {
 		return nil, err
 	}

@@ -2,23 +2,25 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// poisonOrgBodies encodes snap as a snapbin artifact, corrupts the
-// first byte of every pre-rendered org body, and re-signs the content
-// hash — modeling an artifact altered after hashing (a buggy writer, a
+// poisonedArtifact encodes snap as a snapbin artifact, corrupts the
+// first byte of every pre-rendered org body, re-signs the content
+// hash, and writes the result to a temp file whose path it returns —
+// modeling an artifact altered after hashing (a buggy writer, a
 // tampering proxy). Every structural check passes: magic, version,
 // size, section table, the re-signed hash, and cluster.Restore's
 // index↔membership verification. Only replaying live traffic against
 // the candidate can catch it, which is exactly the canary's job.
-func poisonOrgBodies(t testing.TB, snap *Snapshot) []byte {
+func poisonedArtifact(t testing.TB, snap *Snapshot) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := WriteSnapshot(&buf, snap); err != nil {
@@ -53,7 +55,11 @@ func poisonOrgBodies(t testing.TB, snap *Snapshot) []byte {
 		h.Write(data[s.off : s.off+s.length])
 	}
 	copy(data[24:56], h.Sum(nil))
-	return data
+	path := filepath.Join(t.TempDir(), "poisoned.snapbin")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestCanaryAcceptsValidSnapshot: every healthy snapshot this repo
@@ -69,12 +75,12 @@ func TestCanaryAcceptsValidSnapshot(t *testing.T) {
 		}
 	}
 	// And a binary round-trip of one.
-	var buf bytes.Buffer
+	path := filepath.Join(t.TempDir(), "snap.snapbin")
 	snap := mustSnapshot(t, variantMapping(1, 256))
-	if _, err := WriteSnapshot(&buf, snap); err != nil {
+	if _, err := WriteSnapshotFile(path, snap); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSnapshot(&buf)
+	loaded, err := LoadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +94,7 @@ func TestCanaryAcceptsValidSnapshot(t *testing.T) {
 // typed error.
 func TestCanaryRejectsPoisonedBodies(t *testing.T) {
 	snap := mustSnapshot(t, variantMapping(2, 128))
-	poisoned, err := LoadSnapshot(bytes.NewReader(poisonOrgBodies(t, snap)))
+	poisoned, err := LoadSnapshotFile(poisonedArtifact(t, snap))
 	if err != nil {
 		t.Fatalf("poisoned artifact must decode (it is re-signed): %v", err)
 	}
@@ -120,7 +126,7 @@ func TestCanaryThetaTolerance(t *testing.T) {
 // artifact.
 func TestCanaryDisable(t *testing.T) {
 	snap := mustSnapshot(t, variantMapping(2, 128))
-	poisoned, err := LoadSnapshot(bytes.NewReader(poisonOrgBodies(t, snap)))
+	poisoned, err := LoadSnapshotFile(poisonedArtifact(t, snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +140,8 @@ func TestCanaryDisable(t *testing.T) {
 // and the refusal is counted.
 func TestReloadCanaryGate(t *testing.T) {
 	good := mustSnapshot(t, variantMapping(1, 128))
-	poisonedBytes := poisonOrgBodies(t, mustSnapshot(t, variantMapping(2, 128)))
-	srv, err := NewServer(good, Options{
-		Prepared: func(ctx context.Context) (*Snapshot, error) {
-			return LoadSnapshot(bytes.NewReader(poisonedBytes))
-		},
-	})
+	poisoned := poisonedArtifact(t, mustSnapshot(t, variantMapping(2, 128)))
+	srv, err := NewServer(good, Options{Source: SnapshotFileSource(poisoned)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,7 +56,7 @@ func TestDiskChaosStorm(t *testing.T) {
 	v1 := mustSnapshot(t, variantMapping(1, 64))
 	v2 := mustSnapshot(t, variantMapping(2, 64))
 	v3 := mustSnapshot(t, variantMapping(3, 64))
-	poisoned, err := LoadSnapshot(bytes.NewReader(poisonOrgBodies(t, mustSnapshot(t, variantMapping(4, 64)))))
+	poisoned, err := LoadSnapshotFile(poisonedArtifact(t, mustSnapshot(t, variantMapping(4, 64))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +73,7 @@ func TestDiskChaosStorm(t *testing.T) {
 		FS:          ffs,
 		Generations: ring,
 		SnapshotOut: filepath.Join(dir, "serving.snapbin"),
-		Prepared: func(ctx context.Context) (*Snapshot, error) {
+		Source: func(ctx context.Context) (*Snapshot, error) {
 			if s := staged.Swap(nil); s != nil {
 				return s, nil
 			}

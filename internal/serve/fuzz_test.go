@@ -2,29 +2,26 @@ package serve
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/nu-aqualab/borges/internal/cluster"
 )
 
-// FuzzLoadMapping fuzzes the snapshot load path a -mapping file (and
-// every /admin/reload of one) flows through: cluster.ReadJSONL
-// followed by snapshot construction. The contract under arbitrary
-// bytes: the loader parses or fails cleanly (no panic), and anything
-// it accepts must index into a self-consistent, servable snapshot —
-// the same validate-then-swap guarantee hot reload relies on. The
-// seed corpus includes a torn-tail file (a crash mid-append), the
-// failure mode the cache layer's disk tier also has to survive.
-// FuzzLoadSnapshot fuzzes the binary artifact decoder behind
-// -snapshot-in and binary /admin/reload. The contract under arbitrary
-// bytes: LoadSnapshot returns a typed error or a fully self-consistent
+// FuzzLoadSnapshot differentially fuzzes the two binary artifact
+// readers behind -snapshot-in and binary /admin/reload: each input is
+// written to a file and loaded both buffered (LoadSnapshotFile) and
+// memory-mapped (LoadSnapshotFileMapped). The contract under arbitrary
+// bytes: both readers return a typed error or a fully self-consistent
 // snapshot — never a panic, and never an allocation sized by an
 // unvalidated length field (the size cap below would not save us from
-// a forged multi-gigabyte count; the decoder's bounds checks must).
-// The seed corpus is a valid artifact plus the mutations the format is
-// designed to reject: truncations, flipped header/hash/payload bytes,
-// and bare magic.
+// a forged multi-gigabyte count; the decoder's bounds checks must) —
+// and they agree on accept/reject and on the content hash. The seed
+// corpus is a valid artifact plus the mutations the format is designed
+// to reject: truncations, flipped header/hash/payload bytes, and bare
+// magic.
 func FuzzLoadSnapshot(f *testing.F) {
 	var buf bytes.Buffer
 	snap, err := NewSnapshot(variantMapping(3, 24), "fuzz")
@@ -50,37 +47,65 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if len(data) > 1<<20 {
 			return // bound the cost of one fuzz iteration
 		}
-		snap, err := LoadSnapshot(bytes.NewReader(data))
-		if err != nil {
+		path := filepath.Join(t.TempDir(), "fuzz.snapbin")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		buffered, errBuffered := LoadSnapshotFile(path)
+		mapped, errMapped := LoadSnapshotFileMapped(path)
+		if (errBuffered == nil) != (errMapped == nil) {
+			t.Fatalf("readers disagree: buffered %v, mapped %v", errBuffered, errMapped)
+		}
+		if errBuffered != nil {
 			return // rejected cleanly — the acceptable outcome
 		}
-		st := snap.Stats()
-		if st.Orgs == 0 || st.ASNs == 0 {
-			t.Fatal("LoadSnapshot accepted an empty mapping")
+		defer mapped.retire()
+		if buffered.ContentHash() != mapped.ContentHash() {
+			t.Fatalf("content hash: buffered %s, mapped %s", buffered.ContentHash(), mapped.ContentHash())
 		}
-		m := snap.Mapping()
-		if st.Orgs != m.NumOrgs() || st.ASNs != m.NumASNs() {
-			t.Fatalf("stats (%d orgs, %d asns) disagree with mapping (%d, %d)",
-				st.Orgs, st.ASNs, m.NumOrgs(), m.NumASNs())
-		}
-		for i := range m.Clusters {
-			c := &m.Clusters[i]
-			for _, a := range c.ASNs {
-				hit := snap.Lookup(a)
-				if hit == nil || hit != c {
-					t.Fatalf("ASN %v misresolved in an accepted snapshot", a)
-				}
-			}
-			if body := snap.OrgBody(c.ID); len(body) == 0 {
-				t.Fatalf("cluster %d accepted without a rendered body", c.ID)
-			}
-		}
-		if snap.LoadMode() != LoadModeBinary || snap.ContentHash() == "" {
-			t.Fatalf("accepted snapshot reports mode %q hash %q", snap.LoadMode(), snap.ContentHash())
-		}
+		checkLoaded(t, buffered)
+		checkLoaded(t, mapped)
 	})
 }
 
+// checkLoaded asserts a snapshot accepted from arbitrary bytes is
+// self-consistent and servable.
+func checkLoaded(t *testing.T, snap *Snapshot) {
+	t.Helper()
+	st := snap.Stats()
+	if st.Orgs == 0 || st.ASNs == 0 {
+		t.Fatal("loader accepted an empty mapping")
+	}
+	m := snap.Mapping()
+	if st.Orgs != m.NumOrgs() || st.ASNs != m.NumASNs() {
+		t.Fatalf("stats (%d orgs, %d asns) disagree with mapping (%d, %d)",
+			st.Orgs, st.ASNs, m.NumOrgs(), m.NumASNs())
+	}
+	for i := range m.Clusters {
+		c := &m.Clusters[i]
+		for _, a := range c.ASNs {
+			hit := snap.Lookup(a)
+			if hit == nil || hit != c {
+				t.Fatalf("ASN %v misresolved in an accepted snapshot", a)
+			}
+		}
+		if body := snap.OrgBody(c.ID); len(body) == 0 {
+			t.Fatalf("cluster %d accepted without a rendered body", c.ID)
+		}
+	}
+	if snap.LoadMode() != LoadModeBinary || snap.ContentHash() == "" {
+		t.Fatalf("accepted snapshot reports mode %q hash %q", snap.LoadMode(), snap.ContentHash())
+	}
+}
+
+// FuzzLoadMapping fuzzes the snapshot load path a mapping JSONL file
+// given to -snapshot-in (and every /admin/reload of one) flows through: cluster.ReadJSONL
+// followed by snapshot construction. The contract under arbitrary
+// bytes: the loader parses or fails cleanly (no panic), and anything
+// it accepts must index into a self-consistent, servable snapshot —
+// the same validate-then-swap guarantee hot reload relies on. The
+// seed corpus includes a torn-tail file (a crash mid-append), the
+// failure mode the cache layer's disk tier also has to survive.
 func FuzzLoadMapping(f *testing.F) {
 	var buf bytes.Buffer
 	if err := cluster.WriteJSONL(&buf, variantMapping(3, 12)); err != nil {

@@ -196,7 +196,7 @@ func TestRollbackEndpoint(t *testing.T) {
 	v2 := mustSnapshot(t, variantMapping(2, 128))
 	srv, err := NewServer(v1, Options{
 		Generations: ring,
-		Prepared: func(ctx context.Context) (*Snapshot, error) {
+		Source: func(ctx context.Context) (*Snapshot, error) {
 			return v2, nil
 		},
 	})
@@ -310,7 +310,7 @@ func TestSwapRecordsGeneration(t *testing.T) {
 	v2 := mustSnapshot(t, variantMapping(2, 128))
 	srv, err := NewServer(v1, Options{
 		Generations: ring,
-		Prepared: func(ctx context.Context) (*Snapshot, error) {
+		Source: func(ctx context.Context) (*Snapshot, error) {
 			return v2, nil
 		},
 	})

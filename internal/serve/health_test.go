@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -68,15 +71,15 @@ func TestStatsAndMetricsCarryHealth(t *testing.T) {
 	}
 }
 
-// TestReloadPropagatesHealth: a HealthSource-backed reload attaches
-// the run's health to the published snapshot, and a later clean reload
+// TestReloadPropagatesHealth: a reload whose source builds its
+// snapshot with the run's health publishes that health, and a later clean reload
 // clears it — health travels with the mapping it describes.
 func TestReloadPropagatesHealth(t *testing.T) {
 	health := Health{Status: HealthDegraded, Quarantined: 2, Detail: "llm degraded"}
 	var srv *Server
 	srv = newTestServer(t, Options{
-		HealthSource: func(ctx context.Context) (*cluster.Mapping, Health, error) {
-			return testMapping(t), health, nil
+		Source: func(ctx context.Context) (*Snapshot, error) {
+			return NewSnapshotWithHealth(testMapping(t), "pipeline", health)
 		},
 	})
 	if _, err := srv.Reload(context.Background()); err != nil {
@@ -103,15 +106,19 @@ func TestReloadPropagatesHealth(t *testing.T) {
 	}
 }
 
-// TestPlainSourceReloadStaysHealthy: the pre-existing Source path is
-// untouched by the health plumbing — reloads through it publish ok
-// snapshots.
+// TestPlainSourceReloadStaysHealthy: a mapping file carries no run
+// report, so reloads from it publish ok snapshots — absence of
+// provenance is not evidence of faults.
 func TestPlainSourceReloadStaysHealthy(t *testing.T) {
-	srv := newTestServer(t, Options{
-		Source: func(ctx context.Context) (*cluster.Mapping, error) {
-			return testMapping(t), nil
-		},
-	})
+	path := filepath.Join(t.TempDir(), "mapping.jsonl")
+	var buf bytes.Buffer
+	if err := cluster.WriteJSONL(&buf, testMapping(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, Options{Source: SnapshotFileSource(path)})
 	if _, err := srv.Reload(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"github.com/nu-aqualab/borges/internal/cluster"
 )
 
 // TestOnSwapAndExtraMetrics covers the two server extension hooks the
@@ -17,7 +15,7 @@ import (
 func TestOnSwapAndExtraMetrics(t *testing.T) {
 	var swaps []*Snapshot
 	srv := newTestServer(t, Options{
-		Source: func(ctx context.Context) (*cluster.Mapping, error) { return testMapping(t), nil },
+		Source: func(ctx context.Context) (*Snapshot, error) { return NewSnapshot(testMapping(t), "test") },
 		OnSwap: func(s *Snapshot) { swaps = append(swaps, s) },
 		ExtraMetrics: func(w io.Writer) {
 			fmt.Fprint(w, "borgesd_test_extra 42\n")

@@ -81,7 +81,7 @@ func TestMappedSwapRetiresBacking(t *testing.T) {
 	if !old.MemoryMapped() {
 		t.Skip("platform cannot mmap")
 	}
-	srv, err := NewServer(old, Options{Prepared: SnapshotFileSourceMapped(path)})
+	srv, err := NewServer(old, Options{Source: SnapshotFileSourceMapped(path)})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}

@@ -38,7 +38,7 @@ func TestReloadModesHTTP(t *testing.T) {
 	}
 
 	srv, err := NewServer(oldSnap, Options{
-		Prepared:    SnapshotFileSource(binPath),
+		Source:      SnapshotFileSource(binPath),
 		DeltaSource: DeltaFileSource(deltaPath),
 	})
 	if err != nil {
@@ -122,16 +122,16 @@ func TestReloadModesUnconfigured(t *testing.T) {
 	}
 }
 
-// TestPreparedSourceValidateThenSwap: a Prepared source that fails
+// TestSnapshotSourceValidateThenSwap: a snapshot source that fails
 // leaves the old snapshot serving.
-func TestPreparedSourceValidateThenSwap(t *testing.T) {
+func TestSnapshotSourceValidateThenSwap(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.bin")
 	snap := mustSnapshot(t, testMapping(t))
 	if _, err := WriteSnapshotFile(path, snap); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(snap, Options{Prepared: SnapshotFileSource(path)})
+	srv, err := NewServer(snap, Options{Source: SnapshotFileSource(path)})
 	if err != nil {
 		t.Fatal(err)
 	}

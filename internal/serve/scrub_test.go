@@ -114,7 +114,7 @@ func TestScrubProbeFailureAutoRollback(t *testing.T) {
 	bad := v2.ContentHash()
 	srv, err := NewServer(v1, Options{
 		Generations: ring,
-		Prepared: func(ctx context.Context) (*Snapshot, error) {
+		Source: func(ctx context.Context) (*Snapshot, error) {
 			return v2, nil
 		},
 		// The probe models an external consistency check discovering
@@ -197,7 +197,7 @@ func TestSnapshotPersistErrorKeepsServing(t *testing.T) {
 	srv, err := NewServer(v1, Options{
 		FS:          ffs,
 		SnapshotOut: filepath.Join(dir, "out.snapbin"),
-		Prepared: func(ctx context.Context) (*Snapshot, error) {
+		Source: func(ctx context.Context) (*Snapshot, error) {
 			return v2, nil
 		},
 	})

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -22,30 +21,6 @@ import (
 	"github.com/nu-aqualab/borges/internal/mapdiff"
 	"github.com/nu-aqualab/borges/internal/vfs"
 )
-
-// Source produces a fresh mapping for a (re)load: reading a JSONL file,
-// re-running the pipeline in-process, or regenerating a synthetic
-// corpus. It is called with the reload request's context.
-type Source func(ctx context.Context) (*cluster.Mapping, error)
-
-// FileSource returns a Source that parses a mapping file written with
-// cluster.WriteJSONL (borges -format jsonl).
-func FileSource(path string) Source {
-	return func(ctx context.Context) (*cluster.Mapping, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return cluster.ReadJSONL(f)
-	}
-}
-
-// HealthSource is a Source that also reports the produced mapping's
-// health — how a pipeline-backed reload propagates a degraded run's
-// RunReport status into the serving layer without the serve package
-// knowing about the pipeline.
-type HealthSource func(ctx context.Context) (*cluster.Mapping, Health, error)
 
 // DeltaSource produces the mapping delta a delta reload applies to
 // the serving snapshot — typically by parsing a JSONL delta file
@@ -66,19 +41,9 @@ func DeltaFileSource(path string) DeltaSource {
 
 // Options tune a Server.
 type Options struct {
-	// Source supplies replacement mappings for /admin/reload. With a
-	// nil Source (and nil HealthSource and nil Prepared), reloads are
-	// rejected with 501 Not Implemented.
+	// Source supplies the replacement snapshot for a full
+	// /admin/reload. Nil rejects full reloads with 501 Not Implemented.
 	Source Source
-	// HealthSource, when non-nil, is preferred over Source and lets
-	// each reload attach the producing run's Health to the snapshot it
-	// publishes.
-	HealthSource HealthSource
-	// Prepared, when non-nil, is preferred over both Source and
-	// HealthSource: it delivers a ready-made snapshot (e.g. decoded
-	// from a snapbin binary artifact by SnapshotFileSource), skipping
-	// the in-server rebuild entirely.
-	Prepared PreparedSource
 	// DeltaSource supplies mapping deltas for /admin/reload?mode=delta.
 	// Nil rejects delta reloads with 501 Not Implemented.
 	DeltaSource DeltaSource
@@ -87,11 +52,6 @@ type Options struct {
 	// Logf receives one structured line per request and per reload.
 	// Nil disables request logging.
 	Logf func(format string, args ...any)
-	// BuildWorkers caps the number of workers used to index and
-	// pre-render a reloaded snapshot (0 = GOMAXPROCS). Lowering it
-	// trades reload latency for less CPU contention with serving
-	// traffic during the rebuild.
-	BuildWorkers int
 	// EnablePprof mounts the net/http/pprof handlers under
 	// /debug/pprof/. Off by default: the profiling surface exposes heap
 	// and goroutine internals and should only be reachable when the
@@ -225,19 +185,20 @@ func NewServer(snap *Snapshot, opts Options) (*Server, error) {
 		s.admission = admission.New(cfg)
 	}
 	s.snap.Store(snap)
-	s.mux.HandleFunc("GET /v1/as/{asn}", s.instrument("as", admission.Point, s.handleAS))
-	s.mux.HandleFunc("GET /v1/org/{id}", s.instrument("org", admission.Point, s.handleOrg))
-	s.mux.HandleFunc("GET /v1/search", s.instrument("search", admission.Search, s.handleSearch))
-	s.mux.HandleFunc("GET /v1/stats", s.instrument("stats", admission.Point, s.handleStats))
-	// Bulk and watch are streaming endpoints: instrumented without the
-	// per-request timeout (a 1M-line bulk stream or a long-lived watch
-	// would be killed by it; both bound themselves instead — bulk by
-	// MaxBodyBytes/BulkMaxLines, watch by client disconnect/shutdown).
-	s.mux.HandleFunc("POST /v1/bulk", s.instrumentStreaming("bulk", admission.Bulk, s.handleBulk))
-	s.mux.HandleFunc("GET /v1/watch", s.instrumentStreaming("watch", admission.Critical, s.handleWatch))
-	s.mux.HandleFunc("POST /admin/reload", s.instrument("reload", admission.Critical, s.handleReload))
-	s.mux.HandleFunc("POST /admin/rollback", s.instrument("rollback", admission.Critical, s.handleRollback))
-	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", admission.Critical, s.handleHealthz))
+	timeout := opts.RequestTimeout
+	s.mux.HandleFunc("GET /v1/as/{asn}", s.instrument("as", admission.Point, timeout, s.handleAS))
+	s.mux.HandleFunc("GET /v1/org/{id}", s.instrument("org", admission.Point, timeout, s.handleOrg))
+	s.mux.HandleFunc("GET /v1/search", s.instrument("search", admission.Search, timeout, s.handleSearch))
+	s.mux.HandleFunc("GET /v1/stats", s.instrument("stats", admission.Point, timeout, s.handleStats))
+	// Bulk and watch are streaming endpoints: no per-request timeout (a
+	// 1M-line bulk stream or a long-lived watch would be killed by it;
+	// both bound themselves instead — bulk by MaxBodyBytes/BulkMaxLines,
+	// watch by client disconnect/shutdown).
+	s.mux.HandleFunc("POST /v1/bulk", s.instrument("bulk", admission.Bulk, 0, s.handleBulk))
+	s.mux.HandleFunc("GET /v1/watch", s.instrument("watch", admission.Critical, 0, s.handleWatch))
+	s.mux.HandleFunc("POST /admin/reload", s.instrument("reload", admission.Critical, timeout, s.handleReload))
+	s.mux.HandleFunc("POST /admin/rollback", s.instrument("rollback", admission.Critical, timeout, s.handleRollback))
+	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", admission.Critical, timeout, s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if opts.EnablePprof {
 		// Mounted directly on the mux, not via instrument: the
@@ -279,17 +240,16 @@ func (s *Server) Admission() *admission.Controller { return s.admission }
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Reload pulls a replacement snapshot from the configured source —
-// Prepared (ready-made, e.g. a binary artifact) when set, otherwise a
-// mapping from HealthSource/Source indexed in-server — validates it,
-// and atomically publishes the result. On any error the previous
-// snapshot keeps serving.
+// Reload pulls a replacement snapshot from the configured Source,
+// validates it, and atomically publishes the result. On any error the
+// previous snapshot keeps serving.
 func (s *Server) Reload(ctx context.Context) (*Snapshot, error) {
-	prepare := s.prepareFunc()
-	if prepare == nil {
+	if s.opts.Source == nil {
 		return nil, fmt.Errorf("serve: no reload source configured")
 	}
-	return s.swapWith(ctx, prepare, nil)
+	return s.swapWith(ctx, func(ctx context.Context, _ *Snapshot) (*Snapshot, error) {
+		return s.opts.Source(ctx)
+	}, nil)
 }
 
 // ReloadDelta pulls a mapping delta from the configured DeltaSource,
@@ -316,39 +276,6 @@ func (s *Server) ReloadDelta(ctx context.Context) (*Snapshot, error) {
 		}
 		return next, err
 	}, func() *mapdiff.Delta { return applied })
-}
-
-// prepareFunc resolves the configured reload options into one
-// function producing a validated replacement snapshot, or nil when no
-// source is configured.
-func (s *Server) prepareFunc() func(ctx context.Context, old *Snapshot) (*Snapshot, error) {
-	if s.opts.Prepared != nil {
-		return func(ctx context.Context, _ *Snapshot) (*Snapshot, error) {
-			return s.opts.Prepared(ctx)
-		}
-	}
-	load := s.opts.HealthSource
-	if load == nil && s.opts.Source != nil {
-		src := s.opts.Source
-		load = func(ctx context.Context) (*cluster.Mapping, Health, error) {
-			m, err := src(ctx)
-			return m, Health{Status: HealthOK}, err
-		}
-	}
-	if load == nil {
-		return nil
-	}
-	return func(ctx context.Context, old *Snapshot) (*Snapshot, error) {
-		m, health, err := load(ctx)
-		if err != nil {
-			return nil, err
-		}
-		workers := s.opts.BuildWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		return newSnapshotWorkers(m, old.Source(), health, s.opts.now(), workers)
-	}
 }
 
 // swapWith runs one serialized validate-then-swap sequence: prepare a
@@ -516,48 +443,19 @@ func (w *statusWriter) Flush() {
 }
 
 // instrument wraps a handler with admission control, the per-request
-// timeout, metrics observation, and structured request logging.
-func (s *Server) instrument(endpoint string, class admission.Class, h http.HandlerFunc) http.HandlerFunc {
+// timeout, metrics observation, and structured request logging. A zero
+// timeout means none: the streaming endpoints (/v1/bulk, /v1/watch)
+// pass 0 because a bulk pass over a million lines or a watch held open
+// for hours is the intended behaviour, not a hung request — they bound
+// themselves (body size caps, line caps, hub shutdown) and extend the
+// connection's read/write deadlines as they make progress.
+func (s *Server) instrument(endpoint string, class admission.Class, timeout time.Duration, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-		defer cancel()
-		start := s.opts.now()
-		sw := &statusWriter{ResponseWriter: w}
-		if s.admission != nil {
-			release, dec := s.admission.Admit(ctx, class, clientKey(r))
-			if !dec.Admitted {
-				writeRetryableError(sw, dec.Status, dec.RetryAfter,
-					"overloaded: request shed (%s), retry later", dec.Reason)
-				s.metrics.ObserveShed(endpoint, sw.status)
-				s.logf(`{"event":"shed","endpoint":%q,"class":%q,"reason":%q,"status":%d,"retry_after_s":%d}`,
-					endpoint, class, dec.Reason, sw.status, int(dec.RetryAfter.Seconds()))
-				return
-			}
-			defer func() { release(s.opts.now().Sub(start)) }()
+		if timeout > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), timeout)
+			defer cancel()
+			r = r.WithContext(ctx)
 		}
-		if s.opts.testHold != nil {
-			s.opts.testHold(endpoint)
-		}
-		h(sw, r.WithContext(ctx))
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		d := s.opts.now().Sub(start)
-		s.metrics.Observe(endpoint, sw.status, d)
-		s.logf(`{"event":"request","endpoint":%q,"method":%q,"path":%q,"status":%d,"duration_us":%d}`,
-			endpoint, r.Method, r.URL.RequestURI(), sw.status, d.Microseconds())
-	}
-}
-
-// instrumentStreaming is instrument for endpoints whose response is a
-// stream (/v1/bulk, /v1/watch): same admission, metrics, and logging,
-// but no per-request timeout — a bulk pass over a million lines or a
-// watch held open for hours is the intended behaviour, not a hung
-// request. The handlers bound themselves (body size caps, line caps,
-// hub shutdown) and extend the connection's read/write deadlines as
-// they make progress.
-func (s *Server) instrumentStreaming(endpoint string, class admission.Class, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
 		start := s.opts.now()
 		sw := &statusWriter{ResponseWriter: w}
 		if s.admission != nil {
@@ -834,7 +732,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var err error
 	switch mode := r.URL.Query().Get("mode"); mode {
 	case "", "full":
-		if s.opts.Source == nil && s.opts.HealthSource == nil && s.opts.Prepared == nil {
+		if s.opts.Source == nil {
 			writeError(w, http.StatusNotImplemented, "no reload source configured")
 			return
 		}

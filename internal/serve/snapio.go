@@ -14,10 +14,10 @@ import (
 
 // This file bridges Snapshot and the snapbin binary artifact format:
 // image() flattens a snapshot into the portable snapbin.Image,
-// WriteSnapshot/WriteSnapshotFile persist it, and LoadSnapshot/
-// LoadSnapshotFile reconstruct a serving snapshot from the decoded
-// sections — a few large reads plus slicing, no union-find replay, no
-// re-tokenization, no re-rendering.
+// WriteSnapshot/WriteSnapshotFile persist it, and LoadSnapshotFile/
+// LoadSnapshotFileMapped reconstruct a serving snapshot from the
+// decoded sections — a few large reads plus slicing, no union-find
+// replay, no re-tokenization, no re-rendering.
 
 // image flattens the snapshot into its portable binary form. The
 // returned image aliases the snapshot's slices; callers must not
@@ -116,17 +116,26 @@ func snapshotFromImage(img *snapbin.Image, hash string) (*Snapshot, error) {
 	return s, nil
 }
 
-// WriteSnapshot encodes the snapshot as a snapbin artifact and
-// returns its content hash.
+// WriteSnapshot encodes the snapshot as a snapbin artifact to w and
+// returns its content hash. The artifact is assembled in memory (the
+// header is patched in place once every section has streamed), then
+// copied to w.
 func WriteSnapshot(w io.Writer, s *Snapshot) (string, error) {
-	return snapbin.Encode(w, s.image())
+	data, hash, err := snapbin.Marshal(s.image())
+	if err != nil {
+		return "", err
+	}
+	if _, err := w.Write(data); err != nil {
+		return "", err
+	}
+	return hash, nil
 }
 
 // WriteSnapshotFile atomically persists the snapshot as a snapbin
 // artifact at path (temp file, fsync, rename) and returns its content
 // hash.
 func WriteSnapshotFile(path string, s *Snapshot) (string, error) {
-	return snapbin.WriteFile(path, s.image())
+	return WriteSnapshotFileFS(nil, path, s)
 }
 
 // WriteSnapshotFileFS is WriteSnapshotFile against an explicit
@@ -136,29 +145,10 @@ func WriteSnapshotFileFS(fsys vfs.FS, path string, s *Snapshot) (string, error) 
 	return snapbin.WriteFileFS(fsys, path, s.image())
 }
 
-// LoadSnapshot decodes a snapbin artifact from r into a serving
-// snapshot. The whole artifact is read into memory once; pre-rendered
-// bodies alias that buffer.
-func LoadSnapshot(r io.Reader) (*Snapshot, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading snapshot artifact: %w", err)
-	}
-	img, hash, err := snapbin.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return snapshotFromImage(img, hash)
-}
-
 // LoadSnapshotFile decodes the snapbin artifact at path into a
 // serving snapshot.
 func LoadSnapshotFile(path string) (*Snapshot, error) {
-	img, hash, err := snapbin.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return snapshotFromImage(img, hash)
+	return LoadSnapshotFileFS(nil, path)
 }
 
 // LoadSnapshotFileFS is LoadSnapshotFile against an explicit
@@ -211,10 +201,11 @@ func LoadSnapshotFileMappedFS(fsys vfs.FS, path string) (*Snapshot, error) {
 	return LoadSnapshotFileMapped(path)
 }
 
-// PreparedSource produces a ready-made snapshot — one already built,
-// loaded from a binary artifact, or patched from a predecessor —
-// where Source produces a mapping for the server to index itself.
-type PreparedSource func(ctx context.Context) (*Snapshot, error)
+// Source produces the replacement snapshot for a full reload — one
+// decoded from a binary artifact, indexed from a mapping file, built
+// by an in-process pipeline run, or staged by a fleet replica. It is
+// called with the reload request's context.
+type Source func(ctx context.Context) (*Snapshot, error)
 
 // SnapshotFileSource serves snapshots from a file of either format:
 // if the file carries the snapbin magic it decodes the binary
@@ -222,7 +213,7 @@ type PreparedSource func(ctx context.Context) (*Snapshot, error)
 // rebuild path (parse, union-find, tokenize, render). The sniff
 // happens on every call, so an operator can swap a JSONL file for a
 // binary artifact between reloads without restarting.
-func SnapshotFileSource(path string) PreparedSource {
+func SnapshotFileSource(path string) Source {
 	return snapshotFileSource(path, LoadSnapshotFile)
 }
 
@@ -230,11 +221,11 @@ func SnapshotFileSource(path string) PreparedSource {
 // going through LoadSnapshotFileMapped — the -mmap serving mode, where
 // a multi-GB artifact cold-starts without copying its body sections
 // onto the heap. JSONL files still take the rebuild path.
-func SnapshotFileSourceMapped(path string) PreparedSource {
+func SnapshotFileSourceMapped(path string) Source {
 	return snapshotFileSource(path, LoadSnapshotFileMapped)
 }
 
-func snapshotFileSource(path string, loadBinary func(string) (*Snapshot, error)) PreparedSource {
+func snapshotFileSource(path string, loadBinary func(string) (*Snapshot, error)) Source {
 	return func(ctx context.Context) (*Snapshot, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err

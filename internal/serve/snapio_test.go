@@ -76,7 +76,11 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := LoadSnapshot(&buf)
+			path := filepath.Join(t.TempDir(), "snap.snapbin")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadSnapshotFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}

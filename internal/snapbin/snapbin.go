@@ -46,7 +46,6 @@
 package snapbin
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -156,20 +155,8 @@ type Image struct {
 	statOrgs, statASNs int
 }
 
-// countingWriter tracks how many bytes a section writer produced.
-type countingWriter struct {
-	w io.Writer
-	n uint64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += uint64(n)
-	return n, err
-}
-
 // sectionWriter serializes one section's payload.
-type sectionWriter func(w *countingWriter, img *Image) error
+type sectionWriter func(w io.Writer, img *Image) error
 
 var sectionWriters = map[uint32]sectionWriter{
 	secProvenance: writeProvenance,
@@ -177,8 +164,8 @@ var sectionWriters = map[uint32]sectionWriter{
 	secClusters:   writeClusters,
 	secIndex:      writeIndex,
 	secTokens:     writeTokens,
-	secOrgBodies:  func(w *countingWriter, img *Image) error { return writeBlobs(w, img.OrgBodies) },
-	secASTails:    func(w *countingWriter, img *Image) error { return writeBlobs(w, img.ASTails) },
+	secOrgBodies:  func(w io.Writer, img *Image) error { return writeBlobs(w, img.OrgBodies) },
+	secASTails:    func(w io.Writer, img *Image) error { return writeBlobs(w, img.ASTails) },
 }
 
 func putU32(w io.Writer, v uint32) error {
@@ -203,14 +190,14 @@ func putString(w io.Writer, s string) error {
 	return err
 }
 
-func writeProvenance(w *countingWriter, img *Image) error {
+func writeProvenance(w io.Writer, img *Image) error {
 	if err := putString(w, img.Source); err != nil {
 		return err
 	}
 	return putU64(w, uint64(img.LoadedAt.UnixNano()))
 }
 
-func writeStats(w *countingWriter, img *Image) error {
+func writeStats(w io.Writer, img *Image) error {
 	if err := putU64(w, math.Float64bits(img.Theta)); err != nil {
 		return err
 	}
@@ -247,7 +234,7 @@ func writeStats(w *countingWriter, img *Image) error {
 // writeClusters lays membership out columnar — counts, features,
 // name lengths, name bytes, lowercase variants, then one flat ASN
 // pool — so the decoder's inner loops run over homogeneous runs.
-func writeClusters(w *countingWriter, img *Image) error {
+func writeClusters(w io.Writer, img *Image) error {
 	if err := putU32(w, uint32(len(img.Clusters))); err != nil {
 		return err
 	}
@@ -289,7 +276,7 @@ func writeClusters(w *countingWriter, img *Image) error {
 	return nil
 }
 
-func writeIndex(w *countingWriter, img *Image) error {
+func writeIndex(w io.Writer, img *Image) error {
 	if err := putU32(w, uint32(len(img.Keys))); err != nil {
 		return err
 	}
@@ -307,7 +294,7 @@ func writeIndex(w *countingWriter, img *Image) error {
 	return err
 }
 
-func writeTokens(w *countingWriter, img *Image) error {
+func writeTokens(w io.Writer, img *Image) error {
 	if err := putU32(w, uint32(len(img.Tokens))); err != nil {
 		return err
 	}
@@ -329,7 +316,7 @@ func writeTokens(w *countingWriter, img *Image) error {
 	return nil
 }
 
-func writeBlobs(w *countingWriter, blobs [][]byte) error {
+func writeBlobs(w io.Writer, blobs [][]byte) error {
 	if err := putU32(w, uint32(len(blobs))); err != nil {
 		return err
 	}
@@ -346,20 +333,6 @@ func writeBlobs(w *countingWriter, blobs [][]byte) error {
 	return nil
 }
 
-// sectionLengths serializes every section to a counting sink to learn
-// payload sizes without materializing a second copy of the data.
-func sectionLengths(img *Image) ([]uint64, error) {
-	out := make([]uint64, len(sectionIDs))
-	for i, id := range sectionIDs {
-		cw := &countingWriter{w: io.Discard}
-		if err := sectionWriters[id](cw, img); err != nil {
-			return nil, err
-		}
-		out[i] = cw.n
-	}
-	return out, nil
-}
-
 // HashImage computes the content hash of an image: the hash the
 // encoded artifact would carry. Provenance is excluded by
 // construction, so the hash is a pure function of the snapshot's
@@ -371,85 +344,20 @@ func HashImage(img *Image) string {
 			continue
 		}
 		// Writers only fail when the sink fails; a hash never does.
-		_ = sectionWriters[id](&countingWriter{w: h}, img)
+		_ = sectionWriters[id](h, img)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Encode writes the artifact to w and returns its content hash. The
-// write is buffered and sequential: header, section table, then each
-// payload streamed once.
-func Encode(w io.Writer, img *Image) (string, error) {
-	lengths, err := sectionLengths(img)
-	if err != nil {
-		return "", err
-	}
-	tableSize := uint64(sectionEntrySize * len(sectionIDs))
-	offset := uint64(headerSize) + tableSize
-	total := offset
-	for _, n := range lengths {
-		total += n
-	}
-
-	header := make([]byte, headerSize, headerSize+tableSize)
-	copy(header, Magic)
-	binary.LittleEndian.PutUint32(header[8:], Version)
-	binary.LittleEndian.PutUint32(header[12:], uint32(len(sectionIDs)))
-	binary.LittleEndian.PutUint64(header[16:], total)
-	for i, id := range sectionIDs {
-		var entry [sectionEntrySize]byte
-		binary.LittleEndian.PutUint32(entry[0:], id)
-		binary.LittleEndian.PutUint64(entry[4:], offset)
-		binary.LittleEndian.PutUint64(entry[12:], lengths[i])
-		header = append(header, entry[:]...)
-		offset += lengths[i]
-	}
-
-	digest := sha256.New()
-	bw := bufio.NewWriterSize(w, 1<<20)
-	// The header is assembled before payloads stream, so the hash
-	// must be known first: run the hashed sections through the digest
-	// now, then stream everything.
-	for i, id := range sectionIDs {
-		if id == secProvenance {
-			continue
-		}
-		cw := &countingWriter{w: digest}
-		_ = sectionWriters[id](cw, img)
-		if cw.n != lengths[i] {
-			return "", fmt.Errorf("snapbin: section %d length drifted between passes", id)
-		}
-	}
-	sum := digest.Sum(nil)
-	copy(header[24:56], sum)
-	if _, err := bw.Write(header); err != nil {
-		return "", err
-	}
-	for _, id := range sectionIDs {
-		if err := sectionWriters[id](&countingWriter{w: bw}, img); err != nil {
-			return "", err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(sum), nil
-}
-
-// WriteFile atomically persists the artifact at path: the bytes land
-// in a temporary file in the same directory, are fsynced, and only
-// then renamed over the destination — a crash mid-write leaves either
-// the previous artifact or a stray temp file, never a torn artifact
-// under the published name. The directory entry is fsynced after the
-// rename so the publish itself survives power loss.
-func WriteFile(path string, img *Image) (string, error) {
-	return WriteFileFS(vfs.OS, path, img)
-}
-
-// WriteFileFS is WriteFile against an explicit filesystem — the seam
-// the disk-chaos suites use to tear writes and fail fsyncs
-// deterministically. A faulted write never promotes: the rename only
-// happens after Encode, Sync, and Close all succeeded.
+// WriteFileFS atomically persists the artifact at path on fsys (nil
+// means the real disk): the bytes land in a temporary file in the same
+// directory, are fsynced, and only then renamed over the destination —
+// a crash mid-write leaves either the previous artifact or a stray
+// temp file, never a torn artifact under the published name. The
+// directory entry is fsynced after the rename so the publish itself
+// survives power loss. The filesystem is the seam the disk-chaos
+// suites use to tear writes and fail fsyncs deterministically; a
+// faulted write never promotes.
 func WriteFileFS(fsys vfs.FS, path string, img *Image) (string, error) {
 	fsys = vfs.Or(fsys)
 	dir := filepath.Dir(path)
@@ -464,11 +372,11 @@ func WriteFileFS(fsys vfs.FS, path string, img *Image) (string, error) {
 			fsys.Remove(tmp)
 		}
 	}()
-	// The temp file is seekable, so the single-pass section writer
-	// applies: payloads stream once and the header is patched in place,
-	// instead of Encode's serialize-thrice dance.
-	hash, err := EncodeToFile(f, img)
+	header, hash, err := encode(f, img)
 	if err != nil {
+		return "", err
+	}
+	if _, err := f.WriteAt(header, 0); err != nil {
 		return "", err
 	}
 	if err := f.Sync(); err != nil {
@@ -568,29 +476,51 @@ type sectionSpan struct {
 	off, length uint64
 }
 
-// parseHeader validates the fixed 64-byte header and returns the
-// declared section count, total size, and expected content hash.
-func parseHeader(head []byte) (count uint32, size uint64, wantSum []byte, err error) {
-	if string(head[:8]) != Magic {
-		return 0, 0, nil, ErrBadMagic
-	}
-	if v := binary.LittleEndian.Uint32(head[8:]); v != Version {
-		return 0, 0, nil, fmt.Errorf("%w: file declares version %d, this build speaks %d", ErrVersion, v, Version)
-	}
-	count = binary.LittleEndian.Uint32(head[12:])
-	size = binary.LittleEndian.Uint64(head[16:])
-	if int(count) != len(sectionIDs) {
-		return 0, 0, nil, fmt.Errorf("%w: %d sections declared, version %d has %d", ErrCorrupt, count, Version, len(sectionIDs))
-	}
-	return count, size, head[24:56:56], nil
+// frame is an artifact's validated header: the declared size (proven
+// equal to the real size), the end of the section table, and the
+// content hash the payloads must reproduce. Both readers — streaming
+// off a file and decoding a mapped buffer — validate through it.
+type frame struct {
+	size, tableEnd uint64
+	wantSum        []byte
 }
 
-// parseTable validates the section table against the contiguous-layout
+// parseFrame validates the fixed 64-byte header against the
+// artifact's real length, before any declared size is trusted for an
+// allocation. head holds as many leading bytes as were available.
+func parseFrame(head []byte, actual uint64) (frame, error) {
+	if len(head) < headerSize {
+		return frame{}, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(head), headerSize)
+	}
+	if string(head[:8]) != Magic {
+		return frame{}, ErrBadMagic
+	}
+	if v := binary.LittleEndian.Uint32(head[8:]); v != Version {
+		return frame{}, fmt.Errorf("%w: file declares version %d, this build speaks %d", ErrVersion, v, Version)
+	}
+	if count := binary.LittleEndian.Uint32(head[12:]); int(count) != len(sectionIDs) {
+		return frame{}, fmt.Errorf("%w: %d sections declared, version %d has %d", ErrCorrupt, count, Version, len(sectionIDs))
+	}
+	size := binary.LittleEndian.Uint64(head[16:])
+	if size > actual {
+		return frame{}, fmt.Errorf("%w: header declares %d bytes, file has %d", ErrTruncated, size, actual)
+	}
+	if size < actual {
+		return frame{}, fmt.Errorf("%w: %d bytes beyond the declared size %d", ErrCorrupt, actual-size, size)
+	}
+	tableEnd := uint64(headerSize + sectionEntrySize*len(sectionIDs))
+	if tableEnd > size {
+		return frame{}, fmt.Errorf("%w: section table overruns file", ErrTruncated)
+	}
+	return frame{size: size, tableEnd: tableEnd, wantSum: head[24:56:56]}, nil
+}
+
+// spans validates the section table against the contiguous-layout
 // invariants: canonical IDs in order, each offset the previous end, and
 // the last payload ending exactly at the declared size.
-func parseTable(table []byte, count uint32, size uint64) ([]sectionSpan, error) {
-	spans := make([]sectionSpan, count)
-	next := uint64(headerSize) + uint64(sectionEntrySize)*uint64(count)
+func (f frame) spans(table []byte) ([]sectionSpan, error) {
+	spans := make([]sectionSpan, len(sectionIDs))
+	next := f.tableEnd
 	for i := range spans {
 		entry := table[sectionEntrySize*i:]
 		id := binary.LittleEndian.Uint32(entry[0:])
@@ -599,16 +529,29 @@ func parseTable(table []byte, count uint32, size uint64) ([]sectionSpan, error) 
 		if id != sectionIDs[i] {
 			return nil, fmt.Errorf("%w: section %d has id %d, want %d", ErrCorrupt, i, id, sectionIDs[i])
 		}
-		if off != next || length > size-off {
+		if off != next || length > f.size-off {
 			return nil, fmt.Errorf("%w: section %d spans [%d,%d+%d) outside contiguous layout", ErrCorrupt, id, off, off, length)
 		}
 		spans[i] = sectionSpan{id: id, off: off, length: length}
 		next = off + length
 	}
-	if next != size {
-		return nil, fmt.Errorf("%w: sections end at %d, file size is %d", ErrCorrupt, next, size)
+	if next != f.size {
+		return nil, fmt.Errorf("%w: sections end at %d, file size is %d", ErrCorrupt, next, f.size)
 	}
 	return spans, nil
+}
+
+// decode checks the digest of the hashed payloads against the header,
+// then decodes every section of data.
+func (f frame) decode(spans []sectionSpan, data, sum []byte) (*Image, string, error) {
+	if string(sum) != string(f.wantSum) {
+		return nil, "", ErrHashMismatch
+	}
+	img, err := decodeSections(spans, data)
+	if err != nil {
+		return nil, "", err
+	}
+	return img, hex.EncodeToString(sum), nil
 }
 
 // decodeSections runs every section decoder over its span of data and
@@ -648,52 +591,28 @@ func decodeSections(spans []sectionSpan, data []byte) (*Image, error) {
 	return img, nil
 }
 
-// Decode parses an artifact held fully in memory and returns the
-// image plus its verified content hash. Pre-rendered bodies are
-// returned as zero-copy subslices of data, so the caller keeps data
-// alive for the image's lifetime — exactly the behaviour a loaded
-// snapshot wants, one backing array instead of a million small ones.
-// When data is a memory-mapped file, the bodies serve straight off the
-// page cache and decoding allocates only the index-sized sections.
-func Decode(data []byte) (*Image, string, error) {
-	if len(data) < headerSize {
-		return nil, "", fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(data), headerSize)
-	}
-	count, size, wantSum, err := parseHeader(data[:headerSize])
+// decode parses an artifact held fully in memory — the mapped read
+// path — and returns the image plus its verified content hash.
+// Pre-rendered bodies are returned as zero-copy subslices of data, so
+// the caller keeps data alive for the image's lifetime: bodies serve
+// straight off the page cache and decoding allocates only the
+// index-sized sections.
+func decode(data []byte) (*Image, string, error) {
+	f, err := parseFrame(data, uint64(len(data)))
 	if err != nil {
 		return nil, "", err
 	}
-	if size > uint64(len(data)) {
-		return nil, "", fmt.Errorf("%w: header declares %d bytes, file has %d", ErrTruncated, size, len(data))
-	}
-	if size < uint64(len(data)) {
-		return nil, "", fmt.Errorf("%w: %d bytes beyond the declared size %d", ErrCorrupt, uint64(len(data))-size, size)
-	}
-	tableEnd := uint64(headerSize) + uint64(sectionEntrySize)*uint64(count)
-	if tableEnd > size {
-		return nil, "", fmt.Errorf("%w: section table overruns file", ErrTruncated)
-	}
-	spans, err := parseTable(data[headerSize:tableEnd], count, size)
+	spans, err := f.spans(data[headerSize:f.tableEnd])
 	if err != nil {
 		return nil, "", err
 	}
-
 	digest := sha256.New()
 	for _, sp := range spans {
 		if sp.id != secProvenance {
 			digest.Write(data[sp.off : sp.off+sp.length])
 		}
 	}
-	sum := digest.Sum(nil)
-	if string(sum) != string(wantSum) {
-		return nil, "", ErrHashMismatch
-	}
-
-	img, err := decodeSections(spans, data)
-	if err != nil {
-		return nil, "", err
-	}
-	return img, hex.EncodeToString(sum), nil
+	return f.decode(spans, data, digest.Sum(nil))
 }
 
 func readProvenance(r *reader, img *Image) error {
@@ -948,65 +867,38 @@ func crossCheck(img *Image) error {
 	return nil
 }
 
-// ReadFile loads and decodes an artifact. The file is read once into
-// memory; the returned image's byte slices alias that buffer.
-func ReadFile(path string) (*Image, string, error) {
-	return ReadFileFS(vfs.OS, path)
-}
-
-// ReadFileFS is ReadFile against an explicit filesystem, so scrubbers
-// and chaos tests observe exactly the bytes that filesystem serves.
-// The verify pass is folded into the read: each section is hashed as
-// its bytes arrive (while they are cache-hot) instead of re-walking
-// the full buffer after the read, so the file is traversed once.
+// ReadFileFS loads and decodes the artifact at path on fsys (nil
+// means the real disk), so scrubbers and chaos tests observe exactly
+// the bytes that filesystem serves. The file is read once into memory;
+// the returned image's byte slices alias that buffer. The verify pass
+// is folded into the read: each section is hashed as its bytes arrive
+// (while they are cache-hot) instead of re-walking the full buffer
+// after the read, so the file is traversed once.
 func ReadFileFS(fsys vfs.FS, path string) (*Image, string, error) {
 	f, err := vfs.Or(fsys).Open(path)
 	if err != nil {
 		return nil, "", err
 	}
 	defer f.Close()
-	return readFrom(f)
-}
-
-// readFrom streams one artifact off an open file: header, table, then
-// each section payload read and digested in turn, followed by a single
-// decode pass over the assembled buffer.
-func readFrom(f vfs.File) (*Image, string, error) {
-	var head [headerSize]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, "", fmt.Errorf("%w: file shorter than the %d-byte header", ErrTruncated, headerSize)
-		}
-		return nil, "", err
-	}
-	count, size, wantSum, err := parseHeader(head[:])
-	if err != nil {
-		return nil, "", err
-	}
 	st, err := f.Stat()
 	if err != nil {
 		return nil, "", err
 	}
-	// Validate the declared size against the real file before trusting
-	// it for an allocation: an adversarial header cannot make us
-	// allocate more than the bytes actually present.
-	actual := uint64(st.Size())
-	if size > actual {
-		return nil, "", fmt.Errorf("%w: header declares %d bytes, file has %d", ErrTruncated, size, actual)
+	var head [headerSize]byte
+	n, err := io.ReadFull(f, head[:])
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, "", err
 	}
-	if size < actual {
-		return nil, "", fmt.Errorf("%w: %d bytes beyond the declared size %d", ErrCorrupt, actual-size, size)
+	fr, err := parseFrame(head[:n], uint64(st.Size()))
+	if err != nil {
+		return nil, "", err
 	}
-	tableEnd := uint64(headerSize) + uint64(sectionEntrySize)*uint64(count)
-	if tableEnd > size {
-		return nil, "", fmt.Errorf("%w: section table overruns file", ErrTruncated)
-	}
-	data := make([]byte, size)
+	data := make([]byte, fr.size)
 	copy(data, head[:])
-	if _, err := io.ReadFull(f, data[headerSize:tableEnd]); err != nil {
+	if _, err := io.ReadFull(f, data[headerSize:fr.tableEnd]); err != nil {
 		return nil, "", fmt.Errorf("%w: section table: %v", ErrTruncated, err)
 	}
-	spans, err := parseTable(data[headerSize:tableEnd], count, size)
+	spans, err := fr.spans(data[headerSize:fr.tableEnd])
 	if err != nil {
 		return nil, "", err
 	}
@@ -1020,19 +912,11 @@ func readFrom(f vfs.File) (*Image, string, error) {
 			digest.Write(payload)
 		}
 	}
-	sum := digest.Sum(nil)
-	if string(sum) != string(wantSum) {
-		return nil, "", ErrHashMismatch
-	}
-	img, err := decodeSections(spans, data)
-	if err != nil {
-		return nil, "", err
-	}
-	return img, hex.EncodeToString(sum), nil
+	return fr.decode(spans, data, digest.Sum(nil))
 }
 
 // ReadFileMapped loads an artifact through a read-only memory mapping:
-// the decode is the same verified path as ReadFile, but the
+// the decode is the same verified path as ReadFileFS, but the
 // pre-rendered bodies alias the mapping, so the heap holds only the
 // index-sized sections and the kernel pages body bytes in on demand.
 // The returned release function unmaps the file and MUST NOT be called
@@ -1041,7 +925,7 @@ func readFrom(f vfs.File) (*Image, string, error) {
 // zero-length or unmappable files), in which case no cleanup is owed.
 func ReadFileMapped(path string) (*Image, string, func(), error) {
 	if !mmapSupported {
-		img, hash, err := ReadFile(path)
+		img, hash, err := ReadFileFS(nil, path)
 		return img, hash, nil, err
 	}
 	f, err := os.Open(path)
@@ -1054,17 +938,17 @@ func ReadFileMapped(path string) (*Image, string, func(), error) {
 		return nil, "", nil, err
 	}
 	if st.Size() < headerSize || int64(int(st.Size())) != st.Size() {
-		img, hash, err := ReadFile(path)
+		img, hash, err := ReadFileFS(nil, path)
 		return img, hash, nil, err
 	}
 	data, unmap, err := mmapFile(f, int(st.Size()))
 	if err != nil {
 		// Filesystems that cannot map (or ran out of map areas) still
 		// serve the buffered path.
-		img, hash, err := ReadFile(path)
+		img, hash, err := ReadFileFS(nil, path)
 		return img, hash, nil, err
 	}
-	img, hash, err := Decode(data)
+	img, hash, err := decode(data)
 	if err != nil {
 		_ = unmap()
 		return nil, "", nil, err

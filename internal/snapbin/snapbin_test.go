@@ -1,7 +1,6 @@
 package snapbin
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -52,28 +51,50 @@ func testImage() *Image {
 	return img
 }
 
-func encode(t *testing.T, img *Image) ([]byte, string) {
+func marshal(t *testing.T, img *Image) ([]byte, string) {
 	t.Helper()
-	var buf bytes.Buffer
-	hash, err := Encode(&buf, img)
+	data, hash, err := Marshal(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), hash
+	return data, hash
+}
+
+// readErrs writes data to a fresh file in dir and loads it through
+// both readers — streamed (ReadFileFS) and memory-mapped
+// (ReadFileMapped) — returning each reader's error by name.
+func readErrs(t *testing.T, dir string, data []byte) map[string]error {
+	t.Helper()
+	f, err := os.CreateTemp(dir, "snap-*.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, fileErr := ReadFileFS(nil, f.Name())
+	_, _, release, mappedErr := ReadFileMapped(f.Name())
+	if release != nil {
+		release()
+	}
+	return map[string]error{"file": fileErr, "mapped": mappedErr}
 }
 
 func TestRoundTrip(t *testing.T) {
 	img := testImage()
-	data, hash := encode(t, img)
-	got, gotHash, err := Decode(data)
+	data, hash := marshal(t, img)
+	got, gotHash, err := decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotHash != hash {
-		t.Fatalf("Decode hash %s, Encode returned %s", gotHash, hash)
+		t.Fatalf("decode hash %s, Marshal returned %s", gotHash, hash)
 	}
 	if want := HashImage(img); want != hash {
-		t.Fatalf("HashImage %s disagrees with Encode %s", want, hash)
+		t.Fatalf("HashImage %s disagrees with Marshal %s", want, hash)
 	}
 	if !reflect.DeepEqual(got, img) {
 		t.Fatalf("round trip drift:\n got %+v\nwant %+v", got, img)
@@ -88,8 +109,8 @@ func TestHashExcludesProvenance(t *testing.T) {
 	if HashImage(a) != HashImage(b) {
 		t.Fatal("content hash depends on provenance (source/loadedAt)")
 	}
-	_, hashA := encode(t, a)
-	_, hashB := encode(t, b)
+	_, hashA := marshal(t, a)
+	_, hashB := marshal(t, b)
 	if hashA != hashB {
 		t.Fatal("encoded hashes differ across provenance-only changes")
 	}
@@ -101,7 +122,7 @@ func TestHashExcludesProvenance(t *testing.T) {
 }
 
 func TestTypedErrors(t *testing.T) {
-	valid, _ := encode(t, testImage())
+	valid, _ := marshal(t, testImage())
 	mut := func(f func(d []byte) []byte) []byte {
 		d := append([]byte(nil), valid...)
 		return f(d)
@@ -123,27 +144,34 @@ func TestTypedErrors(t *testing.T) {
 		{"shifted section offset", mut(func(d []byte) []byte { d[headerSize+4]++; return d }), ErrCorrupt},
 		{"bad section count", mut(func(d []byte) []byte { d[12] = 2; return d }), ErrCorrupt},
 	}
+	dir := t.TempDir()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := Decode(tc.data)
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("Decode = %v, want %v", err, tc.want)
+			for reader, err := range readErrs(t, dir, tc.data) {
+				t.Run(reader, func(t *testing.T) {
+					if !errors.Is(err, tc.want) {
+						t.Fatalf("%s reader = %v, want %v", reader, err, tc.want)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestEveryTruncationRejected decodes every strict prefix of a valid
-// artifact: all must fail with a typed error, none may panic.
+// TestEveryTruncationRejected loads every strict prefix of a valid
+// artifact through both readers: all must fail with a typed error,
+// none may panic.
 func TestEveryTruncationRejected(t *testing.T) {
-	valid, _ := encode(t, testImage())
+	valid, _ := marshal(t, testImage())
+	dir := t.TempDir()
 	for i := 0; i < len(valid); i++ {
-		_, _, err := Decode(valid[:i])
-		if err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded successfully", i, len(valid))
-		}
-		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrHashMismatch) {
-			t.Fatalf("prefix %d: untyped error %v", i, err)
+		for reader, err := range readErrs(t, dir, valid[:i]) {
+			if err == nil {
+				t.Fatalf("%s reader: prefix of %d/%d bytes decoded successfully", reader, i, len(valid))
+			}
+			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrHashMismatch) {
+				t.Fatalf("%s reader: prefix %d: untyped error %v", reader, i, err)
+			}
 		}
 	}
 }
@@ -153,7 +181,7 @@ func TestEveryTruncationRejected(t *testing.T) {
 // still refuse via the count-vs-remaining check, without ever
 // attempting the 2 GiB allocation the count implies.
 func TestCountValidation(t *testing.T) {
-	data, _ := encode(t, testImage())
+	data, _ := marshal(t, testImage())
 	entry := func(i, field int) int {
 		return int(binary.LittleEndian.Uint64(data[headerSize+i*sectionEntrySize+field:]))
 	}
@@ -165,9 +193,10 @@ func TestCountValidation(t *testing.T) {
 	// contiguously from the stats section (table entry 1) to EOF.
 	sum := sha256.Sum256(data[entry(1, 4):])
 	copy(data[24:56], sum[:])
-	_, _, err := Decode(data)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("huge count: %v, want %v", err, ErrCorrupt)
+	for reader, err := range readErrs(t, t.TempDir(), data) {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s reader: huge count: %v, want %v", reader, err, ErrCorrupt)
+		}
 	}
 }
 
@@ -175,16 +204,16 @@ func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.bin")
 	img := testImage()
-	hash, err := WriteFile(path, img)
+	hash, err := WriteFileFS(nil, path, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotHash, err := ReadFile(path)
+	got, gotHash, err := ReadFileFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotHash != hash || !reflect.DeepEqual(got, img) {
-		t.Fatal("ReadFile drift after WriteFile")
+		t.Fatal("ReadFileFS drift after WriteFileFS")
 	}
 	if !SniffFile(path) {
 		t.Fatal("SniffFile misses a snapbin artifact")
@@ -204,12 +233,12 @@ func TestWriteFileAtomic(t *testing.T) {
 // the atomic rename discipline: a half-written file under the
 // published name must fail the size/hash check on load.
 func TestCrashedHalfWriteRejected(t *testing.T) {
-	valid, _ := encode(t, testImage())
+	valid, _ := marshal(t, testImage())
 	path := filepath.Join(t.TempDir(), "torn.bin")
 	if err := os.WriteFile(path, valid[:len(valid)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := ReadFile(path)
+	_, _, err := ReadFileFS(nil, path)
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("torn artifact: %v, want %v", err, ErrTruncated)
 	}

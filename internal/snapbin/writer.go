@@ -1,60 +1,55 @@
-// Streaming artifact writer: sections are produced one at a time into
-// a seekable file, hashed as they stream, and the header is patched in
-// place at the end. Unlike Encode — which serializes every section
-// twice (once to size the table, once through the digest) before the
-// output pass — the Writer serializes each byte exactly once, and a
-// producer can emit a section incrementally without materializing the
-// full Image first.
+// Streaming artifact writer: sections are produced one at a time,
+// hashed as they stream, and the real header is returned at the end
+// for the caller to patch over the placeholder at offset 0. Each byte
+// is serialized exactly once, and a producer can emit a section
+// incrementally without materializing the full Image first.
 package snapbin
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
 	"io"
-
-	"github.com/nu-aqualab/borges/internal/vfs"
 )
 
-// Writer streams one snapbin artifact section-at-a-time to a seekable
-// file. Usage: NewWriter, then for each canonical section ID in order
-// call Section and write the payload to the returned sink, then
-// Finish. The caller owns Sync/Close of the underlying file.
-type Writer struct {
-	f       vfs.File
+// writer streams one snapbin artifact section-at-a-time. Usage:
+// newWriter, then for each canonical section ID in order call section
+// and write the payload to the returned sink, then finish and write
+// the returned header at offset 0 of the output.
+type writer struct {
 	bw      *bufio.Writer
 	digest  hash.Hash
 	lengths []uint64
 	next    int  // index into sectionIDs of the section being written
-	open    bool // a Section call is active
+	open    bool // a section call is active
 	err     error
 }
 
-// NewWriter starts an artifact at the file's current position (which
-// must be 0: the header patch at Finish seeks to the file start). A
-// placeholder header and section table are written immediately so the
-// first payload byte lands at its final offset.
-func NewWriter(f vfs.File) *Writer {
-	w := &Writer{
-		f:       f,
-		bw:      bufio.NewWriterSize(f, 1<<20),
+// newWriter starts an artifact at the sink's current position (which
+// must be the artifact's offset 0). A placeholder header and section
+// table are written immediately so the first payload byte lands at its
+// final offset.
+func newWriter(w io.Writer) *writer {
+	sw := &writer{
+		bw:      bufio.NewWriterSize(w, 1<<20),
 		digest:  sha256.New(),
 		lengths: make([]uint64, len(sectionIDs)),
 	}
 	blank := make([]byte, headerSize+sectionEntrySize*len(sectionIDs))
-	if _, err := w.bw.Write(blank); err != nil {
-		w.err = err
+	if _, err := sw.bw.Write(blank); err != nil {
+		sw.err = err
 	}
-	return w
+	return sw
 }
 
-// Section begins the next section's payload and returns the sink to
+// section begins the next section's payload and returns the sink to
 // write it to. IDs must arrive in canonical order (sectionIDs); the
 // previous section is sealed by the call.
-func (w *Writer) Section(id uint32) (io.Writer, error) {
+func (w *writer) section(id uint32) (io.Writer, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
@@ -69,9 +64,9 @@ func (w *Writer) Section(id uint32) (io.Writer, error) {
 	return sectionSink{w}, nil
 }
 
-// sectionSink routes payload bytes to the buffered file and, for
+// sectionSink routes payload bytes to the buffered output and, for
 // hashed sections, the running digest.
-type sectionSink struct{ w *Writer }
+type sectionSink struct{ w *writer }
 
 func (s sectionSink) Write(p []byte) (int, error) {
 	w := s.w
@@ -89,21 +84,20 @@ func (s sectionSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Finish seals the last section, flushes the payload bytes, and
-// patches the real header and section table over the placeholder. It
-// returns the content hash. The file is left positioned at its start;
-// the caller still owns Sync and Close.
-func (w *Writer) Finish() (string, error) {
+// finish seals the last section, flushes the payload bytes, and
+// returns the real header and section table — to be written over the
+// placeholder at offset 0 — together with the content hash.
+func (w *writer) finish() ([]byte, string, error) {
 	if w.err != nil {
-		return "", w.err
+		return nil, "", w.err
 	}
 	if !w.open || w.next != len(sectionIDs)-1 {
-		w.err = fmt.Errorf("snapbin: Finish after %d of %d sections", w.next, len(sectionIDs))
-		return "", w.err
+		w.err = fmt.Errorf("snapbin: finish after %d of %d sections", w.next, len(sectionIDs))
+		return nil, "", w.err
 	}
 	if err := w.bw.Flush(); err != nil {
 		w.err = err
-		return "", err
+		return nil, "", err
 	}
 	tableSize := uint64(sectionEntrySize * len(sectionIDs))
 	offset := uint64(headerSize) + tableSize
@@ -126,31 +120,36 @@ func (w *Writer) Finish() (string, error) {
 		header = append(header, entry[:]...)
 		offset += w.lengths[i]
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		w.err = err
-		return "", err
-	}
-	if _, err := w.f.Write(header); err != nil {
-		w.err = err
-		return "", err
-	}
 	w.err = fmt.Errorf("snapbin: writer already finished")
-	return hex.EncodeToString(sum), nil
+	return header, hex.EncodeToString(sum), nil
 }
 
-// EncodeToFile streams an image into a seekable file through the
-// section Writer: one serialization pass total, versus Encode's three
-// (sizing, digest, output).
-func EncodeToFile(f vfs.File, img *Image) (string, error) {
-	w := NewWriter(f)
+// encode streams an image through the section writer into w and
+// returns the header to patch in at offset 0, plus the content hash.
+func encode(w io.Writer, img *Image) ([]byte, string, error) {
+	sw := newWriter(w)
 	for _, id := range sectionIDs {
-		sec, err := w.Section(id)
+		sec, err := sw.section(id)
 		if err != nil {
-			return "", err
+			return nil, "", err
 		}
-		if err := sectionWriters[id](&countingWriter{w: sec}, img); err != nil {
-			return "", err
+		if err := sectionWriters[id](sec, img); err != nil {
+			return nil, "", err
 		}
 	}
-	return w.Finish()
+	return sw.finish()
+}
+
+// Marshal encodes an image into memory through the section writer,
+// patches the header in place, and returns the artifact bytes and
+// their content hash.
+func Marshal(img *Image) ([]byte, string, error) {
+	var buf bytes.Buffer
+	header, hash, err := encode(&buf, img)
+	if err != nil {
+		return nil, "", err
+	}
+	data := buf.Bytes()
+	copy(data, header)
+	return data, hash, nil
 }

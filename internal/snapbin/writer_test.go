@@ -1,59 +1,53 @@
 package snapbin
 
 import (
-	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// TestEncodeToFileByteIdentical: the single-pass streaming writer must
-// produce exactly the bytes (and hash) of the three-pass Encode, so
-// artifacts are interchangeable regardless of which path wrote them.
-func TestEncodeToFileByteIdentical(t *testing.T) {
+// TestWriterHashMatchesReader: the hash the section writer returns is
+// the pure content hash of the image, and it is exactly the hash both
+// readers verify on load. The fleet compares ContentHash of built
+// snapshots against published artifact hashes, so the three must agree.
+func TestWriterHashMatchesReader(t *testing.T) {
 	img := testImage()
-	want, wantHash := encode(t, img)
-
-	path := filepath.Join(t.TempDir(), "stream.bin")
-	f, err := os.Create(path)
+	want := HashImage(img)
+	if _, hash := marshal(t, img); hash != want {
+		t.Fatalf("Marshal hash %s, HashImage %s", hash, want)
+	}
+	path := filepath.Join(t.TempDir(), "snap.bin")
+	hash, err := WriteFileFS(nil, path, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := EncodeToFile(f, img)
-	if err != nil {
-		t.Fatalf("EncodeToFile: %v", err)
+	if hash != want {
+		t.Fatalf("WriteFileFS hash %s, HashImage %s", hash, want)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	if _, got, err := ReadFileFS(nil, path); err != nil || got != want {
+		t.Fatalf("ReadFileFS verified %s (%v), want %s", got, err, want)
 	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	_, got, release, err := ReadFileMapped(path)
+	if release != nil {
+		release()
 	}
-	if hash != wantHash {
-		t.Fatalf("EncodeToFile hash %s, Encode %s", hash, wantHash)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("EncodeToFile bytes diverge from Encode: %d vs %d bytes", len(got), len(want))
+	if err != nil || got != want {
+		t.Fatalf("ReadFileMapped verified %s (%v), want %s", got, err, want)
 	}
 }
 
-// TestWriterSectionOrder: out-of-order or double Finish misuse fails
+// TestWriterSectionOrder: out-of-order or premature finish misuse fails
 // loudly instead of writing a structurally broken artifact.
 func TestWriterSectionOrder(t *testing.T) {
-	f, err := os.Create(filepath.Join(t.TempDir(), "bad.bin"))
-	if err != nil {
-		t.Fatal(err)
+	w := newWriter(io.Discard)
+	if _, err := w.section(secStats); err == nil {
+		t.Fatal("section accepted a skipped provenance section")
 	}
-	defer f.Close()
-	w := NewWriter(f)
-	if _, err := w.Section(secStats); err == nil {
-		t.Fatal("Section accepted a skipped provenance section")
-	}
-	if _, err := w.Finish(); err == nil {
-		t.Fatal("Finish succeeded with missing sections")
+	if _, _, err := w.finish(); err == nil {
+		t.Fatal("finish succeeded with missing sections")
 	}
 }
 
@@ -62,7 +56,7 @@ func TestWriterSectionOrder(t *testing.T) {
 func TestReadFileMapped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.bin")
 	img := testImage()
-	wantHash, err := WriteFile(path, img)
+	wantHash, err := WriteFileFS(nil, path, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +93,7 @@ func TestReadFileMapped(t *testing.T) {
 // and the mapping is released.
 func TestReadFileMappedRejectsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.bin")
-	if _, err := WriteFile(path, testImage()); err != nil {
+	if _, err := WriteFileFS(nil, path, testImage()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
